@@ -31,6 +31,7 @@ from repro.core.rewriter import BUILTIN_RECIPES, install_recipes
 from repro.cpu import IntegerUnit
 from repro.cpu.archstate import ArchState
 from repro.cpu.blockcache import TranslatedUnit
+from repro.cpu.decode import decode
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.isa import (
     OP_BRANCH_SETHI,
@@ -80,6 +81,22 @@ def _classify(inst) -> str:
     if inst.op3 in (Op3.JMPL, Op3.RETT, Op3.TICC):
         return "jump"
     return "alu"
+
+
+def _fold_mix(tally) -> dict[str, int]:
+    """Instruction mix from retire tallies keyed by instruction word or
+    by ``(block, retired)`` (the block's first *retired* instructions)."""
+    mix: dict[str, int] = {}
+    for key, count in tally.items():
+        if isinstance(key, int):
+            insts = (decode(key),)
+        else:
+            block, retired = key
+            insts = block.insts[:retired]
+        for inst in insts:
+            kind = _classify(inst)
+            mix[kind] = mix.get(kind, 0) + count
+    return mix
 
 
 @dataclass
@@ -510,8 +527,18 @@ class Simulator:
         poll = self.rom_info.poll_address
         fast = self._boot_and_dispatch(image, engine_name)
 
-        mix: Counter[str] = Counter()
-        fast.on_retire = lambda pc, inst: mix.update((_classify(inst),))
+        # Retire tallies, folded into the mix once per distinct key:
+        # interpreted steps count per instruction word, translated
+        # blocks per (block, retired-prefix length).  One dict keeps
+        # first-seen order, so the mix lists classes in execution order.
+        tally: Counter = Counter()
+
+        def count_step(pc, inst):
+            tally[inst.word] += 1
+
+        fast.on_retire = count_step
+        if engine_name == "translated":
+            fast.retire_tally = tally
         start_steps, start_instret = fast.cycles, fast.instret
         self.events.record(fast.cycles, "dispatch", entry=image.entry)
         fast.run(max_instructions=max_instructions, until_pc=poll)
@@ -533,7 +560,7 @@ class Simulator:
         return SimReport(
             cycles=window,
             instructions=retired,
-            instruction_mix=dict(mix),
+            instruction_mix=_fold_mix(tally),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
             memory_trace=empty_trace,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cpu import IntegerUnit
+from repro.cpu import IntegerUnit, blockcache
 from repro.cpu.blockcache import MAX_BLOCK, TranslatedUnit
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.traps import WatchdogExpired
@@ -441,3 +441,121 @@ class TestSimulatorIntegration:
             assert tu.regs.read(reg) == iu.regs.read(reg), f"reg {reg}"
         assert tu.ctrl.psr == iu.ctrl.psr
         assert tu.instret == iu.instret
+
+
+def _dispatched(image):
+    """A fresh simulator booted onto *image* on the translated engine:
+    (simulator, unit positioned at the entry, boot-ROM poll address)."""
+    from repro.core.sim import Simulator
+
+    sim = Simulator(capture_memory_trace=False, obs=False)
+    unit = sim._boot_and_dispatch(image, "translated")
+    return sim, unit, sim.rom_info.poll_address
+
+
+class TestCodeCache:
+    """Compiled block code is shared process-wide, keyed by source;
+    everything a block touches stays bound per unit."""
+
+    def test_fresh_simulators_share_code_objects(self):
+        from repro.workloads import get
+
+        image = get("crc32").image()
+        units = []
+        for _ in range(2):
+            sim, unit, poll = _dispatched(image)
+            unit.run(max_instructions=1_000_000, until_pc=poll)
+            units.append((sim, unit))
+        (sim_a, a), (sim_b, b) = units
+        common = set(a._blocks) & set(b._blocks)
+        assert common
+        for entry in common:
+            block_a, block_b = a._blocks[entry], b._blocks[entry]
+            assert block_a.code.__code__ is block_b.code.__code__
+            assert block_a.code is not block_b.code
+            # Each function binds its own unit's control registers.
+            assert block_a.code.__defaults__[0] is sim_a.cpu.ctrl
+            assert block_b.code.__defaults__[0] is sim_b.cpu.ctrl
+        # The counter still means "translated by this unit".
+        assert a.blocks_translated == b.blocks_translated > 0
+
+    def test_interleaved_units_keep_their_own_state(self):
+        from repro.toolchain.driver import compile_c_program
+        from repro.workloads import get
+
+        workload = get("crc32")
+        seeds = (1, 2)
+        assert workload.expected(1) != workload.expected(2)
+        runs = [_dispatched(compile_c_program(workload.c_source(seed)))
+                for seed in seeds]
+        live = list(runs)
+        while live:
+            # A few blocks at a time, alternating between the units.
+            for run in tuple(live):
+                _, unit, poll = run
+                unit.fast_forward(16, stop_pc=poll)
+                if unit.pc == poll:
+                    live.remove(run)
+        (_, a, _), (_, b, _) = runs
+        assert any(a._blocks[e].code.__code__ is b._blocks[e].code.__code__
+                   for e in set(a._blocks) & set(b._blocks))
+        for seed, (sim, unit, _) in zip(seeds, runs):
+            sim._sync_from_functional(unit)
+            result = sim.sram.host_read_word(sim.memmap.result_addr)
+            assert workload.check(result, seed)
+
+    def test_self_modified_block_gets_new_code(self):
+        src = """
+    .text
+    .global _start
+_start:
+    add %g1, 1, %g1
+target:
+    add %g2, 1, %g2
+done:
+    ba done
+    nop
+patch:
+    add %g2, 2, %g2
+"""
+        tu, ram, image = _make(src, TranslatedUnit)
+        entry = image.symbols["_start"]
+        target = image.symbols["target"]
+
+        def word(symbol):
+            offset = image.symbols[symbol] - RAM_BASE
+            return int.from_bytes(ram[offset:offset + 4], "big")
+
+        original, patched = word("target"), word("patch")
+        code = tu._translate(entry).code.__code__
+        tu.data_write(target, 4, patched)
+        assert entry not in tu._blocks
+        assert tu._translate(entry).code.__code__ is not code
+        # Restoring the original word restores the original source,
+        # which the cache still holds.
+        tu.data_write(target, 4, original)
+        assert tu._translate(entry).code.__code__ is code
+
+    def test_cache_clears_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(blockcache, "_CODES", {})
+        monkeypatch.setattr(blockcache, "MAX_CODES", 2)
+        src = """
+    .text
+    .global _start
+_start:
+    ba one
+    add %g1, 1, %g1
+one:
+    ba two
+    add %g2, 1, %g2
+two:
+    ba two
+    add %g3, 1, %g3
+"""
+        tu, _, image = _make(src, TranslatedUnit)
+        sizes = []
+        for symbol in ("_start", "one", "two"):
+            tu._translate(image.symbols[symbol])
+            sizes.append(len(blockcache._CODES))
+        assert sizes == [1, 2, 1]
+        assert tu._blocks[image.symbols["two"]].source in blockcache._CODES
