@@ -83,6 +83,18 @@ def _classify(inst) -> str:
     return "alu"
 
 
+def _tally_retires(engine) -> Counter:
+    """Count *engine*'s retired instructions by instruction word (fold
+    the tally with :func:`_fold_mix`); the caller clears ``on_retire``."""
+    tally: Counter = Counter()
+
+    def count(pc, inst):
+        tally[inst.word] += 1
+
+    engine.on_retire = count
+    return tally
+
+
 def _fold_mix(tally) -> dict[str, int]:
     """Instruction mix from retire tallies keyed by instruction word or
     by ``(block, retired)`` (the block's first *retired* instructions)."""
@@ -199,15 +211,10 @@ class Simulator:
         self.checkpoint_captures = 0
         self.checkpoint_restores = 0
 
-        # Sampled-simulation accounting (published as the sampling.*
-        # obs series by repro.obs.collect.collect_sampling).
-        self.sampling_runs = 0
-        self.sampling_windows = 0
-        self.sampling_checkpoints = 0
-        self.sampling_survey_steps = 0
-        self.sampling_ff_steps = 0
-        self.sampling_ramp_steps = 0
-        self.sampling_measured_steps = 0
+        # Sampled-simulation accounting: the summed
+        # ``SampledRun.counters()`` of every run_sampled call (published
+        # as the sampling.* obs series).
+        self.sampling_counters: Counter[str] = Counter()
 
         # Telemetry (repro.obs): cycle-stamped control-plane events plus
         # per-point metrics snapshots.  Disabled, both are no-ops.
@@ -431,8 +438,7 @@ class Simulator:
                                warmup_instructions=warmup_instructions)
 
         # Instrument the measured window only.
-        mix: Counter[str] = Counter()
-        cpu.on_retire = lambda pc, inst: mix.update((_classify(inst),))
+        tally = _tally_retires(cpu)
         if self.recorder is not None:
             self.recorder.clear()
 
@@ -462,7 +468,7 @@ class Simulator:
         return SimReport(
             cycles=cpu.cycles - start_cycles,
             instructions=cpu.instret - start_instret,
-            instruction_mix=dict(mix),
+            instruction_mix=_fold_mix(tally),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
             memory_trace=trace,
@@ -482,21 +488,14 @@ class Simulator:
 
         The measurement itself runs in fresh simulators built from this
         one's config (a pure function of ``(image, config, plan)``);
-        this simulator accumulates the ``sampling.*`` accounting so its
-        obs snapshots cover the sampled work.
+        this simulator accumulates the run's ``sampling.*`` accounting
+        so its obs snapshots cover the sampled work.
         """
         from repro.core.sampling import SampledRunner
 
-        runner = SampledRunner(self.config)
-        run = runner.run(image, plan, max_instructions=max_instructions)
-        counters = runner.counters
-        self.sampling_runs += counters["runs"]
-        self.sampling_windows += counters["windows"]
-        self.sampling_checkpoints += counters["checkpoints"]
-        self.sampling_survey_steps += counters["survey_steps"]
-        self.sampling_ff_steps += counters["ff_steps"]
-        self.sampling_ramp_steps += counters["ramp_steps"]
-        self.sampling_measured_steps += counters["measured_steps"]
+        run = SampledRunner(self.config).run(
+            image, plan, max_instructions=max_instructions)
+        self.sampling_counters.update(run.counters())
         self.events.record(self.cpu.cycles, "sampled",
                            windows=len(run.windows),
                            estimated_cycles=round(run.estimated_cycles))
@@ -531,12 +530,7 @@ class Simulator:
         # interpreted steps count per instruction word, translated
         # blocks per (block, retired-prefix length).  One dict keeps
         # first-seen order, so the mix lists classes in execution order.
-        tally: Counter = Counter()
-
-        def count_step(pc, inst):
-            tally[inst.word] += 1
-
-        fast.on_retire = count_step
+        tally = _tally_retires(fast)
         if engine_name == "translated":
             fast.retire_tally = tally
         start_steps, start_instret = fast.cycles, fast.instret

@@ -36,9 +36,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core.config import ArchitectureConfig
-from repro.core.sampling import SampledRunner, SamplingPlan
+from repro.core.sampling import PreparedPlan, SampledRunner, SamplingPlan
 from repro.core.sim import Simulator
 from repro.core.synthesis import SynthesisModel
+from repro.cpu.archstate import ArchState
+from repro.obs.collect import collect_sampling
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.toolchain.objfile import Image
 
@@ -55,11 +57,14 @@ from repro.toolchain.objfile import Image
 #: and every point snapshot gains the ``sampling.*`` counter series.
 SCHEMA_VERSION = 5
 
-#: Layout version of persisted warmed checkpoints (see
-#: :meth:`ResultCache.put_checkpoint`); the wrapped
-#: :class:`~repro.cpu.archstate.ArchState` payload carries its own
+#: Layout version of persisted family artifacts (see
+#: :meth:`ResultCache.put_artifact`); the wrapped
+#: :class:`~repro.cpu.archstate.ArchState` payloads carry their own
 #: schema number on top of this.  v2: built by the translated engine.
-CHECKPOINT_SCHEMA = 2
+#: v3: one store for ``-ffN`` checkpoints and sampling
+#: :class:`~repro.core.sampling.PreparedPlan` payloads, keyed by a mode
+#: token.
+CHECKPOINT_SCHEMA = 3
 
 #: Default instruction budget per simulated point.
 DEFAULT_MAX_INSTRUCTIONS = 20_000_000
@@ -216,7 +221,7 @@ class ResultCache:
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._memory: dict[tuple[str, str], dict] = {}
-        self._checkpoints: dict[tuple[str, str, int], dict] = {}
+        self._artifacts: dict[tuple[str, str, str], dict] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -260,53 +265,49 @@ class ResultCache:
         tmp.write_text(blob)
         os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
 
-    # -- warmed checkpoints --------------------------------------------
+    # -- family artifacts ----------------------------------------------
 
-    def _checkpoint_path(self, digest: str, arch_key: str,
-                         fast_forward: int) -> Path:
+    def _artifact_path(self, digest: str, arch_key: str, mode: str) -> Path:
         assert self.cache_dir is not None
-        return (self.cache_dir / digest
-                / f"checkpoint-{arch_key}-ff{fast_forward}.json")
+        return self.cache_dir / digest / f"checkpoint-{arch_key}-{mode}.json"
 
-    def get_checkpoint(self, digest: str, arch_key: str,
-                       fast_forward: int) -> dict | None:
-        """Return a warmed :class:`~repro.cpu.archstate.ArchState`
-        payload, or ``None``.  Keyed by (image digest, architectural
-        key, warmup length): every config sharing an ``arch_key()``
-        computes the same functional state, so one checkpoint serves
-        the whole family."""
-        key = (digest, arch_key, fast_forward)
-        payload = self._checkpoints.get(key)
-        if payload is not None:
-            self.stats.checkpoint_hits += 1
-            return payload
-        if self.cache_dir is not None:
-            path = self._checkpoint_path(digest, arch_key, fast_forward)
+    def get_artifact(self, digest: str, arch_key: str,
+                     mode: str) -> dict | None:
+        """Return a family artifact's payload, or ``None``.  Keyed by
+        (image digest, architectural key, mode token — ``ff<N>`` for a
+        warmed :class:`~repro.cpu.archstate.ArchState`, the plan's
+        fingerprint token for a sampling
+        :class:`~repro.core.sampling.PreparedPlan`): every config sharing
+        an ``arch_key()`` computes the same architectural state, so one
+        artifact serves the whole family."""
+        key = (digest, arch_key, mode)
+        payload = self._artifacts.get(key)
+        if payload is None and self.cache_dir is not None:
             try:
-                record = json.loads(path.read_text())
+                record = json.loads(
+                    self._artifact_path(digest, arch_key, mode).read_text())
             except (OSError, ValueError):
                 record = None
             if (isinstance(record, dict)
                     and record.get("schema") == CHECKPOINT_SCHEMA
-                    and record.get("fast_forward") == fast_forward):
-                payload = record["archstate"]
-                self._checkpoints[key] = payload
-                self.stats.checkpoint_hits += 1
-                return payload
-        self.stats.checkpoint_misses += 1
-        return None
+                    and record.get("mode") == mode):
+                payload = self._artifacts[key] = record["artifact"]
+        if payload is None:
+            self.stats.checkpoint_misses += 1
+        else:
+            self.stats.checkpoint_hits += 1
+        return payload
 
-    def put_checkpoint(self, digest: str, arch_key: str, fast_forward: int,
-                       payload: dict) -> None:
-        """Persist a warmed ArchState payload (``ArchState.to_payload``)."""
-        self._checkpoints[(digest, arch_key, fast_forward)] = payload
+    def put_artifact(self, digest: str, arch_key: str, mode: str,
+                     payload: dict) -> None:
+        """Persist a family artifact's JSON-able payload."""
+        self._artifacts[(digest, arch_key, mode)] = payload
         self.stats.checkpoint_stores += 1
         if self.cache_dir is None:
             return
         record = {"schema": CHECKPOINT_SCHEMA, "arch_key": arch_key,
-                  "fast_forward": fast_forward, "archstate": payload}
-        self._write(self._checkpoint_path(digest, arch_key, fast_forward),
-                    record)
+                  "mode": mode, "artifact": payload}
+        self._write(self._artifact_path(digest, arch_key, mode), record)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +315,11 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-def _sampled_record(config: ArchitectureConfig, run, runner,
-                    counters: dict, utilization) -> dict:
-    """The cacheable record of one sampled point.  *counters* is the
-    per-run slice of the runner's accounting — a fresh runner's totals,
-    or a shared runner's delta; both publish identical values because
-    the counters are derived from the run, not from memo hits."""
+def _sampled_record(config: ArchitectureConfig, run,
+                    utilization) -> dict:
+    """The cacheable record of one sampled point."""
     registry = MetricsRegistry()
-    runner.publish_obs(registry, counters=counters)
+    collect_sampling(run.counters(), registry)
     return {
         "schema": SCHEMA_VERSION,
         "config_key": config.key(),
@@ -340,33 +338,8 @@ def _sampled_record(config: ArchitectureConfig, run, runner,
     }
 
 
-def _evaluate_sampled_shared(tasks) -> "Iterable[tuple[dict, float]]":
-    """Serial sampled evaluation: one :class:`SampledRunner` per
-    (image, architectural family), so every config point of a family
-    shares the memoised survey and checkpoint passes and pays only for
-    its own cycle-accurate measure phase.  Records stay byte-identical
-    to the parallel path (which rebuilds the passes per worker): the
-    shared passes are architectural, and obs counters are published as
-    per-run deltas."""
-    runners: dict[tuple[int, str], SampledRunner] = {}
-    for config, image, max_instructions, _, sampling in tasks:
-        start = time.perf_counter()
-        utilization = SynthesisModel().estimate(config)
-        key = (id(image), config.arch_key())
-        runner = runners.get(key)
-        if runner is None:
-            runner = runners[key] = SampledRunner(config)
-        before = dict(runner.counters)
-        run = runner.run(image, sampling,
-                         max_instructions=max_instructions, config=config)
-        delta = {name: runner.counters[name] - before[name]
-                 for name in before}
-        record = _sampled_record(config, run, runner, delta, utilization)
-        yield record, time.perf_counter() - start
-
-
-def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, dict | None,
-                               SamplingPlan | None]
+def _evaluate_task(task: tuple[ArchitectureConfig, Image, int,
+                               ArchState | PreparedPlan | None]
                    ) -> tuple[dict, float]:
     """Simulate one point; returns (cacheable record, wall seconds).
 
@@ -374,35 +347,29 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, dict | None,
     small, picklable and JSON-serializable, and the exploration loop
     only needs the aggregate report.
 
-    When *checkpoint* (a JSON-able ArchState payload) is present, the
-    simulator restores it and measures only from there — the two-speed
-    fast path.  The payload travels to worker processes as a plain dict,
-    which is what keeps this function picklable.
-
-    When *sampling* (a :class:`SamplingPlan`, frozen and picklable) is
-    present, the whole sampled run is rebuilt in-process from
-    ``(config, image, plan)`` — nothing host-dependent ships to the
-    worker, which is what makes serial and parallel sampled sweeps
-    byte-identical.  ``cycles`` becomes the rounded point estimate,
-    ``instructions`` stays exact (the survey pass measured it), and the
-    full estimate (CI, windows, phases) lands in the record's
-    ``sampled`` section.
+    The task's family artifact, built once per (image, ``arch_key()``)
+    family by :meth:`SweepRunner.sweep`, picks the mode.  An
+    :class:`~repro.cpu.archstate.ArchState` (``fast_forward=N``) is
+    restored and only the window after it is measured — the two-speed
+    fast path.  A :class:`~repro.core.sampling.PreparedPlan`
+    (``sampling=plan``) has its windows measured on the point's config:
+    ``cycles`` becomes the rounded point estimate, ``instructions``
+    stays exact (the survey pass measured it), and the full estimate
+    (CI, windows, phases) lands in the record's ``sampled`` section.
+    Either artifact is architectural, so serial and parallel sweeps
+    give byte-identical records.
     """
-    config, image, max_instructions, checkpoint, sampling = task
+    config, image, max_instructions, artifact = task
     start = time.perf_counter()
     utilization = SynthesisModel().estimate(config)
-    if sampling is not None:
-        runner = SampledRunner(config)
-        run = runner.run(image, sampling, max_instructions=max_instructions)
-        record = _sampled_record(config, run, runner, runner.counters,
-                                 utilization)
-        return record, time.perf_counter() - start
+    if isinstance(artifact, PreparedPlan):
+        run = SampledRunner(config).measure(artifact)
+        return (_sampled_record(config, run, utilization),
+                time.perf_counter() - start)
     sim = Simulator(config, capture_memory_trace=False)
-    if checkpoint is not None:
-        from repro.cpu.archstate import ArchState
-
+    if artifact is not None:
         report = sim.run(max_instructions=max_instructions,
-                         from_checkpoint=ArchState.from_payload(checkpoint))
+                         from_checkpoint=artifact)
     else:
         report = sim.run(image, max_instructions=max_instructions)
     record = {
@@ -436,8 +403,9 @@ class SweepStats:
     disk_hits: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    #: Warmed checkpoints built fresh this sweep (one per distinct
-    #: (image, arch_key) family) vs. served from the result cache.
+    #: Family artifacts (``-ffN`` checkpoints or sampling prepared
+    #: plans) built fresh this sweep — one per distinct (image,
+    #: arch_key) family — vs. served from the result cache.
     checkpoints_built: int = 0
     checkpoint_hits: int = 0
 
@@ -631,7 +599,7 @@ class SweepRunner:
 
         ``fast_forward > 0`` switches every point to two-speed mode:
         per (image, ``arch_key()``) family one warmed checkpoint is
-        built (functional engine, no timing model), then every config
+        built (translated engine, no timing model), then every config
         point of that family restores it and measures only the window
         after it on the cycle-accurate engine.  Fingerprints gain a
         ``-ff<N>`` suffix, so windowed results never collide with
@@ -640,10 +608,16 @@ class SweepRunner:
         ``sampling=`` (a :class:`~repro.core.sampling.SamplingPlan`)
         switches every point to *sampled* mode instead: cycle estimates
         with confidence intervals from checkpointed measurement windows,
-        at a fraction of the full-detail cost.  Fingerprints gain the
-        plan's token, so sampled records never collide with exact ones.
-        The two modes are mutually exclusive — a sampled run does its
-        own fast-forwarding.
+        at a fraction of the full-detail cost.  Per family the survey,
+        window placement and checkpoint pass run once
+        (:meth:`SampledRunner.prepare`); every point measures only its
+        own windows.  Fingerprints gain the plan's token, so sampled
+        records never collide with exact ones.  The two modes are
+        mutually exclusive — a sampled run does its own fast-forwarding.
+
+        Either family artifact is built before dispatch, in this
+        process, and persisted in the :class:`ResultCache`, so serial
+        and parallel sweeps and partial reruns all share it.
         """
         started = time.perf_counter()
         if fast_forward < 0:
@@ -681,21 +655,19 @@ class SweepRunner:
 
         stats = SweepStats(points=len(entries))
 
-        # One warmed checkpoint per (image, arch_key) family — built
-        # only if some point of the family actually needs simulating.
-        checkpoints: dict[tuple[str, str], dict] = {}
-        if fast_forward:
+        # One artifact per (image, arch_key) family — built only if
+        # some point of the family actually needs simulating.
+        artifacts: dict[tuple[str, str], ArchState | PreparedPlan] = {}
+        if fast_forward or sampling is not None:
             for index, image, digest, config, _ in entries:
-                if index in cached:
-                    continue
                 key = (digest, config.arch_key())
-                if key in checkpoints:
-                    continue
-                checkpoints[key] = self._warm_checkpoint(
-                    image, digest, config, fast_forward, stats)
+                if index not in cached and key not in artifacts:
+                    artifacts[key] = self._family_artifact(
+                        image, digest, config, max_instructions,
+                        fast_forward, sampling, stats)
 
         tasks = [(config, image, max_instructions,
-                  checkpoints.get((digest, config.arch_key())), sampling)
+                  artifacts.get((digest, config.arch_key())))
                  for index, image, digest, config, _ in entries
                  if index not in cached]
 
@@ -790,26 +762,34 @@ class SweepRunner:
         totals.wall_seconds = time.perf_counter() - started
         return MatrixOutcome(cells=cells, stats=totals, analysis=analysis)
 
-    def _warm_checkpoint(self, image: Image, digest: str,
-                         config: ArchitectureConfig, fast_forward: int,
-                         stats: SweepStats) -> dict:
-        """Fetch or build the warmed ArchState payload for *config*'s
-        architectural family, updating *stats* and the result cache."""
+    def _family_artifact(self, image: Image, digest: str,
+                         config: ArchitectureConfig, max_instructions: int,
+                         fast_forward: int, sampling: SamplingPlan | None,
+                         stats: SweepStats) -> ArchState | PreparedPlan:
+        """Fetch or build *config*'s family artifact — a warmed
+        ArchState for ``fast_forward``, a :class:`PreparedPlan` for
+        ``sampling`` — updating *stats* and the result cache."""
         arch_key = config.arch_key()
+        if sampling is not None:
+            kind, mode = PreparedPlan, sampling.fingerprint_token()
+        else:
+            kind, mode = ArchState, f"ff{fast_forward}"
         if self.cache is not None:
-            payload = self.cache.get_checkpoint(digest, arch_key,
-                                                fast_forward)
+            payload = self.cache.get_artifact(digest, arch_key, mode)
             if payload is not None:
                 stats.checkpoint_hits += 1
-                return payload
-        state = Simulator(config, capture_memory_trace=False).checkpoint(
-            image, fast_forward)
-        payload = state.to_payload()
+                return kind.from_payload(payload)
+        if sampling is not None:
+            artifact = SampledRunner(config).prepare(image, sampling,
+                                                     max_instructions)
+        else:
+            artifact = Simulator(config, capture_memory_trace=False
+                                 ).checkpoint(image, fast_forward)
         stats.checkpoints_built += 1
         if self.cache is not None:
-            self.cache.put_checkpoint(digest, arch_key, fast_forward,
-                                      payload)
-        return payload
+            self.cache.put_artifact(digest, arch_key, mode,
+                                    artifact.to_payload())
+        return artifact
 
     def _publish_obs(self, stats: SweepStats) -> None:
         obs = self.obs
@@ -829,14 +809,7 @@ class SweepRunner:
 
     def _evaluate(self, tasks):
         """Yield (record, wall) per task, in task order."""
-        if not tasks:
-            return iter(())
-        if self.workers <= 1:
-            if tasks[0][4] is not None:
-                # All tasks of one sweep share the same sampling plan;
-                # the shared path amortizes survey/checkpoint passes
-                # across each (image, family) group.
-                return _evaluate_sampled_shared(tasks)
+        if self.workers <= 1 or not tasks:
             return map(_evaluate_task, tasks)
         pool = ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
 

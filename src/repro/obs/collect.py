@@ -116,25 +116,22 @@ def collect_fastpath(sim, registry: MetricsRegistry) -> None:
         getattr(sim, "fastpath_blocks_invalidated", 0))
 
 
-def collect_sampling(sim, registry: MetricsRegistry) -> None:
-    """Publish the sampled-simulation accounting: runs, measurement
-    windows, checkpoints captured, and the step split between the
-    translated fast-forward legs, the cache-warming ramps and the
-    cycle-accurate measured windows.  Declared at zero for simulators
-    that never sample, keeping the snapshot schema stable."""
-    registry.counter("sampling.runs").inc(getattr(sim, "sampling_runs", 0))
-    registry.counter("sampling.windows").inc(
-        getattr(sim, "sampling_windows", 0))
-    registry.counter("sampling.checkpoints").inc(
-        getattr(sim, "sampling_checkpoints", 0))
-    registry.counter("sampling.survey_steps").inc(
-        getattr(sim, "sampling_survey_steps", 0))
-    registry.counter("sampling.ff_steps").inc(
-        getattr(sim, "sampling_ff_steps", 0))
-    registry.counter("sampling.ramp_steps").inc(
-        getattr(sim, "sampling_ramp_steps", 0))
-    registry.counter("sampling.measured_steps").inc(
-        getattr(sim, "sampling_measured_steps", 0))
+#: The ``sampling.*`` counter series, in publication order (the keys
+#: of :meth:`repro.core.sampling.SampledRun.counters`).
+SAMPLING_COUNTERS = ("runs", "windows", "checkpoints", "survey_steps",
+                     "ff_steps", "ramp_steps", "measured_steps")
+
+
+def collect_sampling(counters: dict, registry: MetricsRegistry) -> None:
+    """Publish sampled-simulation accounting (one run's
+    ``SampledRun.counters()`` or a Simulator's summed
+    ``sampling_counters``): runs, measurement windows, checkpoints
+    captured, and the step split between the translated fast-forward
+    legs, the cache-warming ramps and the cycle-accurate measured
+    windows.  Missing series are declared at zero, keeping the snapshot
+    schema stable for simulators that never sample."""
+    for name in SAMPLING_COUNTERS:
+        registry.counter(f"sampling.{name}").inc(counters.get(name, 0))
 
 
 def collect_ahb(bus, registry: MetricsRegistry) -> None:
@@ -276,7 +273,7 @@ def simulator_snapshot(sim) -> dict:
     registry = MetricsRegistry()
     collect_pipeline(sim.cpu, registry)
     collect_fastpath(sim, registry)
-    collect_sampling(sim, registry)
+    collect_sampling(sim.sampling_counters, registry)
     collect_cache(sim.icache, registry)
     collect_cache(sim.dcache, registry)
     collect_ahb(sim.bus, registry)

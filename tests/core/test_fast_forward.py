@@ -160,20 +160,31 @@ class TestSweepFastForward:
         assert again.stats.checkpoints_built == 0
         assert again.stats.cache_hits == 2
 
-    def test_checkpoint_survives_on_disk(self, image, tmp_path):
+    @pytest.mark.parametrize("mode", [
+        pytest.param({"fast_forward": WARMUP}, id="ff"),
+        pytest.param({"sampling": SamplingPlan(
+            n_windows=3, window_length=400, ramp_length=256, seed=5)},
+            id="sampling"),
+    ])
+    def test_checkpoint_survives_on_disk(self, image, tmp_path, mode):
         first = SweepRunner(cache=ResultCache(tmp_path)).sweep(
-            [self.CONFIGS[0]], image, fast_forward=WARMUP)
+            [self.CONFIGS[0]], image, **mode)
         # fresh runner+cache, results wiped from memory: the point is
         # served from disk; force a re-simulation of a sibling config to
-        # prove the *checkpoint* comes back from disk too.
+        # prove the family artifact (the -ffN checkpoint, or sampling's
+        # survey + checkpoints) comes back from disk too.
         cache = ResultCache(tmp_path)
-        second = SweepRunner(cache=cache).sweep(
-            self.CONFIGS, image, fast_forward=WARMUP)
+        second = SweepRunner(cache=cache).sweep(self.CONFIGS, image, **mode)
         assert second.stats.checkpoints_built == 0
         assert second.stats.checkpoint_hits == 1
         assert second.stats.simulated == 1  # only the sibling config
         assert (second.points[0].canonical_json()
                 == first.points[0].canonical_json())
+        # the sibling measured from the reloaded artifact matches one
+        # measured from a freshly built artifact
+        fresh = SweepRunner().sweep([self.CONFIGS[1]], image, **mode)
+        assert (second.points[1].canonical_json()
+                == fresh.points[0].canonical_json())
 
     def test_serial_and_parallel_agree(self, image):
         serial = SweepRunner(workers=0).sweep(
@@ -258,6 +269,9 @@ class TestSweepSampling:
             self.CONFIGS, image, sampling=self.PLAN)
         rerun = SweepRunner(cache=ResultCache(tmp_path)).sweep(
             self.CONFIGS, image, sampling=self.PLAN)
+        # one survey + checkpoint pass per family, in both executors
+        assert serial.stats.checkpoints_built == 1
+        assert parallel.stats.checkpoints_built == 1
         assert rerun.stats.simulated == 0  # served entirely from disk
         for a, b, c in zip(serial.points, parallel.points, rerun.points):
             assert a.canonical_json() == b.canonical_json()
@@ -302,18 +316,15 @@ class TestCheckpointResumedWindows:
     architectural, and the canonical handoff state covers the rest."""
 
     def test_resumed_equals_straight_through(self, image):
-        from repro.core.sampling import (SampledRunner, head_spec,
-                                         measure_window, place_windows)
+        from repro.core.sampling import SampledRunner, measure_window
 
         plan = SamplingPlan(n_windows=2, window_length=400,
                             ramp_length=256, seed=2)
         runner = SampledRunner()
-        run = runner.run(image, plan)
+        prepared = runner.prepare(image, plan)
+        run = runner.measure(prepared)
         assert run.windows, "plan must place at least one window"
-
-        survey = runner._survey(image, 50_000_000)
-        head = head_spec(survey["steps"], plan)
-        _, specs = place_windows(survey["steps"], plan, start=head.end)
+        specs = prepared.specs[1:]  # the head spec comes first
 
         sim = Simulator(capture_memory_trace=False, obs=False)
         cpu = sim._boot_and_dispatch(image, "accurate")

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core.config import ArchitectureConfig
 from repro.core.sampling import (
     HEAD_INDEX,
     METRICS,
@@ -225,6 +226,13 @@ class TestSimulatorIntegration:
         assert totals["sampling.checkpoints"] == len(run.windows) + 1
         assert totals["sampling.measured_steps"] == run.measured_steps()
 
+    def test_measure_rejects_another_architectural_family(self,
+                                                           crc_image):
+        plan = SamplingPlan(n_windows=1, window_length=300, ramp_length=0)
+        prepared = SampledRunner().prepare(crc_image, plan)
+        with pytest.raises(ValueError, match="architectural family"):
+            SampledRunner(ArchitectureConfig(nwindows=4)).measure(prepared)
+
     def test_runs_are_byte_identical(self, crc_image):
         plan = SamplingPlan(n_windows=3, window_length=300, ramp_length=128,
                             seed=9)
@@ -232,7 +240,15 @@ class TestSimulatorIntegration:
         b = SampledRunner().run(crc_image, plan)
         assert a.canonical_json() == b.canonical_json()
 
-    def test_auto_mode_grows_until_target(self, crc_image):
+    def test_auto_mode_grows_until_target(self, crc_image, monkeypatch):
+        surveys = []
+        survey = SampledRunner._survey
+
+        def counted(runner, *args):
+            surveys.append(args)
+            return survey(runner, *args)
+
+        monkeypatch.setattr(SampledRunner, "_survey", counted)
         runner = SampledRunner()
         plan = SamplingPlan(n_windows=2, window_length=300, ramp_length=128)
         run = runner.run_auto(crc_image, plan,
@@ -240,7 +256,7 @@ class TestSimulatorIntegration:
         assert run.auto, "auto log must record the rounds"
         assert run.auto[-1]["n_windows"] >= 2
         # one survey serves every round
-        assert runner.counters["runs"] == len(run.auto)
+        assert len(surveys) == 1
 
 
 class TestLongRunningRegistry:
