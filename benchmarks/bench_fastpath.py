@@ -40,14 +40,32 @@ def _accurate_rate(image) -> tuple[float, int]:
     return best, instructions
 
 
+def _warm_state(sim, image, engine: str):
+    """What ``checkpoint()`` does on the translated engine, on the
+    ``"accurate"`` or ``"functional"`` reference engine instead: boot,
+    dispatch, step WARMUP_BUDGET program steps, capture."""
+    poll = sim.rom_info.poll_address
+    if engine == "accurate":
+        cpu = sim._boot_and_dispatch(image, sim.cpu)
+        executed = 0
+        while executed < WARMUP_BUDGET and cpu.pc != poll:
+            cpu.step()
+            executed += 1
+    else:
+        unit = sim._boot_and_dispatch(image, sim.functional_unit())
+        unit.fast_forward(WARMUP_BUDGET, stop_pc=poll)
+        sim._sync_from_functional(unit)
+    return sim.capture_state()
+
+
 def _functional_rate(image) -> tuple[float, int]:
     best, steps = 0.0, 0
     for _ in range(ROUNDS):
         sim = Simulator(capture_memory_trace=False, obs=False)
         start = time.perf_counter()
-        # checkpoint() defaults to the translated engine now; this gate
-        # is specifically about the single-instruction functional path.
-        sim.checkpoint(image, WARMUP_BUDGET, warmup_engine="fast")
+        # checkpoint() warms on the translated engine; this gate is
+        # specifically about the single-instruction functional path.
+        _warm_state(sim, image, "functional")
         elapsed = time.perf_counter() - start
         best = max(best, sim.fastpath_instructions / elapsed)
         steps = sim.fastpath_instructions
@@ -62,7 +80,7 @@ def _steady_rate(image, engine: str) -> float:
     best = 0.0
     for _ in range(ROUNDS):
         sim = Simulator(capture_memory_trace=False, obs=False)
-        eng = sim._boot_and_dispatch(image, engine)
+        eng = sim._boot_and_dispatch(image, getattr(sim, f"{engine}_unit")())
         poll = sim.rom_info.poll_address
         eng.fast_forward(2_000, stop_pc=poll)
         start = time.perf_counter()
@@ -79,7 +97,7 @@ def test_translated_throughput_floor(benchmark):
     kernel."""
     image = figure7_image()
     accurate_rate, _ = _accurate_rate(image)
-    functional_rate = _steady_rate(image, "fast")
+    functional_rate = _steady_rate(image, "functional")
 
     result = {}
 
@@ -110,28 +128,34 @@ def test_translated_throughput_floor(benchmark):
         f"engine (floor {TRANSLATED_ACCURATE_FLOOR}x)")
 
 
+def _canonical(report) -> str:
+    return json.dumps({
+        "cycles": report.cycles, "instructions": report.instructions,
+        "mix": report.instruction_mix, "dcache": report.dcache,
+        "icache": report.icache, "result_word": report.result_word,
+        "uart": report.uart_output.hex(), "obs": report.obs,
+    }, sort_keys=True, default=str)
+
+
+def _resumed(image, engine: str):
+    """The window after a state warmed on a reference *engine*."""
+    state = _warm_state(Simulator(capture_memory_trace=False), image,
+                        engine)
+    return Simulator(capture_memory_trace=False).run(from_checkpoint=state)
+
+
 def test_translated_checkpoint_is_byte_identical(benchmark):
     """A checkpoint warmed on the translated engine must hand off the
-    same measured window as a functional or accurate warmup."""
+    same measured window as an accurate warmup."""
     image = figure7_image()
-
-    def canonical(report) -> str:
-        return json.dumps({
-            "cycles": report.cycles, "instructions": report.instructions,
-            "mix": report.instruction_mix, "dcache": report.dcache,
-            "icache": report.icache, "result_word": report.result_word,
-            "uart": report.uart_output.hex(), "obs": report.obs,
-        }, sort_keys=True, default=str)
 
     def windowed():
         return Simulator(capture_memory_trace=False).run(
-            image, fast_forward=WARMUP_BUDGET, warmup_engine="translated")
+            image, fast_forward=WARMUP_BUDGET)
 
     translated = benchmark.pedantic(windowed, rounds=1, iterations=1)
-    accurate = Simulator(capture_memory_trace=False).run(
-        image, fast_forward=WARMUP_BUDGET, warmup_engine="accurate")
-    assert canonical(translated) == canonical(accurate)
-    assert translated.fastpath["warmup_engine"] == "translated"
+    assert _canonical(translated) == _canonical(_resumed(image, "accurate"))
+    assert translated.fastpath["fast_forward"] == WARMUP_BUDGET
 
 
 def test_fastpath_throughput_floor(benchmark):
@@ -162,25 +186,12 @@ def test_fastpath_throughput_floor(benchmark):
 
 
 def test_fast_forward_window_is_byte_identical(benchmark):
-    """fast_forward warmup must not perturb the measured window."""
+    """A functional warmup must not perturb the measured window."""
     image = figure7_image()
 
-    def canonical(report) -> str:
-        return json.dumps({
-            "cycles": report.cycles, "instructions": report.instructions,
-            "mix": report.instruction_mix, "dcache": report.dcache,
-            "icache": report.icache, "result_word": report.result_word,
-            "uart": report.uart_output.hex(), "obs": report.obs,
-        }, sort_keys=True, default=str)
-
-    def windowed():
-        return Simulator(capture_memory_trace=False).run(
-            image, fast_forward=WARMUP_BUDGET, warmup_engine="fast")
-
-    fast = benchmark.pedantic(windowed, rounds=1, iterations=1)
-    accurate = Simulator(capture_memory_trace=False).run(
-        image, fast_forward=WARMUP_BUDGET, warmup_engine="accurate")
-    assert canonical(fast) == canonical(accurate)
+    fast = benchmark.pedantic(lambda: _resumed(image, "functional"),
+                              rounds=1, iterations=1)
+    assert _canonical(fast) == _canonical(_resumed(image, "accurate"))
     assert fast.instructions > 0
     benchmark.extra_info["window_instructions"] = fast.instructions
     benchmark.extra_info["warmup_instructions"] = \

@@ -218,20 +218,13 @@ class SetAssociativeCache:
         to its power-on state.  Only meaningful right after
         :meth:`invalidate_all` — with no valid lines the timestamps
         carry no information — so this is purely a canonicalization step
-        for the fast-forward handoff."""
+        for the window start a checkpoint restore sets up."""
         self._clock = 0
         self._rng = np.random.default_rng(self._seed)
         for ways in self._lines:
             for line in ways:
                 line.last_use = 0
                 line.fill_order = 0
-
-    def rng_state(self) -> dict:
-        """Deterministic-RNG cursor (ArchState checkpointing)."""
-        return self._rng.bit_generator.state
-
-    def load_rng_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state
 
     def invalidate_line(self, address: int) -> None:
         line = self.probe(address)

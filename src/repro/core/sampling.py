@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.core.config import ArchitectureConfig
-from repro.core.sim import Simulator, _fold_mix, _tally_retires
+from repro.core.sim import Simulator, _fold_mix
 from repro.cpu.archstate import ArchState
 from repro.toolchain.objfile import Image
 
@@ -455,10 +455,9 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     engine and return the window observation dict.
 
     The machine must already be positioned at ``spec.ramp_start`` in the
-    canonical handoff state (:meth:`Simulator._normalize_window_start`).
-    Shared between the checkpoint-resumed path and the straight-through
-    path so the two are equal by construction — the determinism tests
-    hold them against each other.
+    canonical window-start state a :meth:`Simulator.restore_state`
+    leaves.  The determinism tests hold this checkpoint-resumed path
+    against a straight-through accurate run.
     """
     cpu = sim.cpu
     ramp_budget = spec.start - spec.ramp_start
@@ -473,7 +472,7 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     sim.icache.reset_stats()
     sim.dcache.reset_stats()
 
-    tally = _tally_retires(cpu)
+    tally = cpu.retire_tally = Counter()
     cycles0, instret0 = cpu.cycles, cpu.instret
     fetch0, mem0 = cpu.fetch_stall_cycles, cpu.mem_stall_cycles
     traps0 = cpu.trap_count
@@ -484,7 +483,7 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
             cpu.step()
             steps += 1
     finally:
-        cpu.on_retire = None
+        cpu.retire_tally = None
     return {
         "index": spec.index,
         "ramp_start": spec.ramp_start,
@@ -589,7 +588,7 @@ class SampledRunner:
         # ``run_translated``: the survey needs only totals and the
         # architectural outputs, not a report or an instruction mix.
         sim = Simulator(self.config, capture_memory_trace=False, obs=False)
-        fast = sim._boot_and_dispatch(image, "translated")
+        fast = sim._boot_and_dispatch(image, sim.translated_unit())
         start_steps, start_instret = fast.cycles, fast.instret
         fast.run(max_instructions=max_instructions,
                  until_pc=sim.rom_info.poll_address)
@@ -621,7 +620,7 @@ class SampledRunner:
 
         sim = Simulator(self.config, capture_memory_trace=False, obs=False)
         poll = sim.rom_info.poll_address
-        fast = sim._boot_and_dispatch(image, "translated")
+        fast = sim._boot_and_dispatch(image, sim.translated_unit())
         base = fast.instret
         ramp_starts = {spec.ramp_start for spec in specs}
         marks = sorted({0, total_steps}
@@ -659,7 +658,6 @@ class SampledRunner:
             sim = Simulator(self.config, capture_memory_trace=False,
                             obs=False)
             sim.restore_state(prepared.states[spec.ramp_start])
-            sim._normalize_window_start()
             measured.append(measure_window(sim, spec,
                                            sim.rom_info.poll_address))
         head, windows = measured[0], measured[1:]

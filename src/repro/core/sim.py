@@ -83,21 +83,11 @@ def _classify(inst) -> str:
     return "alu"
 
 
-def _tally_retires(engine) -> Counter:
-    """Count *engine*'s retired instructions by instruction word (fold
-    the tally with :func:`_fold_mix`); the caller clears ``on_retire``."""
-    tally: Counter = Counter()
-
-    def count(pc, inst):
-        tally[inst.word] += 1
-
-    engine.on_retire = count
-    return tally
-
-
 def _fold_mix(tally) -> dict[str, int]:
-    """Instruction mix from retire tallies keyed by instruction word or
-    by ``(block, retired)`` (the block's first *retired* instructions)."""
+    """Instruction mix from an engine's ``retire_tally``, keyed by
+    instruction word or by ``(block, retired)`` (the block's first
+    *retired* instructions).  A tally keeps first-seen order, so the mix
+    lists classes in execution order."""
     mix: dict[str, int] = {}
     for key, count in tally.items():
         if isinstance(key, int):
@@ -129,8 +119,9 @@ class SimReport:
     #: simulator was built with ``obs=False``.
     obs: dict = dataclass_field(default_factory=dict)
     #: Two-speed provenance: how the machine reached the measured window
-    #: (warmup engine, fast-forwarded steps).  Empty for a cold whole-
-    #: program run; never part of the report's identity.
+    #: (the fast-forward depth asked for, the instructions retired before
+    #: the window).  Empty for a cold whole-program run; never part of
+    #: the report's identity.
     fastpath: dict = dataclass_field(default_factory=dict)
 
     @property
@@ -203,7 +194,6 @@ class Simulator:
         # obs series).  Native ints, same convention as the CPU's stall
         # counters.
         self.fastpath_instructions = 0   # steps executed functionally
-        self.fastpath_retired = 0        # of which retired instructions
         self.fastpath_handoffs = 0       # fast->accurate engine handoffs
         self.fastpath_blocks_translated = 0   # blocks compiled
         self.fastpath_blocks_executed = 0     # block executions
@@ -236,7 +226,7 @@ class Simulator:
         the same SRAM/PROM byte arrays viewed flat, with the APB mapped
         through so peripheral side effects land on the same devices.
         Only PC/nPC/annul (copied in here) and the retirement counters
-        are private — :meth:`_sync_from_functional` copies them back.
+        are private — :meth:`_sync_from_functional` folds them back.
         """
         return self._fast_unit(FunctionalUnit)
 
@@ -269,46 +259,14 @@ class Simulator:
         cpu = self.cpu
         cpu.pc, cpu.npc, cpu.annul = fast.pc, fast.npc, fast.annul
         cpu.halted, cpu.error_tt = fast.halted, fast.error_tt
+        cpu.instret += fast.instret
         cpu.trap_count += fast.trap_count
         self.fastpath_instructions += fast.cycles
-        self.fastpath_retired += fast.instret
         self.fastpath_blocks_translated += getattr(
             fast, "blocks_translated", 0)
         self.fastpath_blocks_executed += getattr(fast, "blocks_executed", 0)
         self.fastpath_blocks_invalidated += getattr(
             fast, "blocks_invalidated", 0)
-
-    @staticmethod
-    def _warmup(engine, budget: int, poll: int) -> int:
-        """Advance *engine* up to *budget* steps, stopping early if the
-        program finishes (returns to the boot ROM's polling loop).
-        Returns the steps actually executed.  Step-for-step identical on
-        every engine, so ``fast_forward=N`` lands on the same
-        architectural state no matter who executes the N steps."""
-        fast_forward = getattr(engine, "fast_forward", None)
-        if fast_forward is not None:
-            return fast_forward(budget, stop_pc=poll)
-        executed = 0
-        while executed < budget and engine.pc != poll:
-            engine.step()
-            executed += 1
-        return executed
-
-    def _normalize_window_start(self) -> None:
-        """Put the micro-architecture into the canonical handoff state.
-
-        The architectural state at a handoff is exact; the caches,
-        prefetchers and pipeline are not warmed by functional execution,
-        so a measured window always begins from flushed-and-reset
-        machinery.  Applying the same normalization after an *accurate*
-        warmup (or a checkpoint restore) is what makes the measured
-        window's report byte-identical across warmup engines.
-        """
-        self.icache.flush()
-        self.dcache.flush()
-        self.icache.reset_stats()
-        self.dcache.reset_stats()
-        self.cpu.pipeline.reset()
 
     def checkpoint_memory(self) -> dict:
         """ArchState protocol: name -> live byte buffer."""
@@ -318,10 +276,6 @@ class Simulator:
         """ArchState protocol: name -> device with state()/load_state()."""
         return {"uart": self.uart, "leds": self.leds,
                 "cycle_counter": self.cycle_counter}
-
-    def checkpoint_rngs(self) -> dict:
-        """ArchState protocol: name -> seeded RNG holder."""
-        return {"icache": self.icache.cache, "dcache": self.dcache.cache}
 
     def capture_state(self, engine=None) -> ArchState:
         """Checkpoint the current architectural state.
@@ -336,14 +290,27 @@ class Simulator:
         return state
 
     def restore_state(self, state: ArchState) -> None:
-        """Adopt a previously captured architectural state."""
+        """Adopt a previously captured architectural state, with the
+        micro-architecture in its canonical window-start state.
+
+        An ArchState is exact but carries no caches, prefetchers or
+        pipeline, so a restore always leaves them flushed and reset
+        (replacement clocks and RNGs back to their power-on seeds).  A
+        window measured after a restore is therefore the same whoever
+        produced the state and whatever this simulator ran before.
+        """
         state.restore(self)
+        self.icache.flush()
+        self.dcache.flush()
+        self.icache.reset_stats()
+        self.dcache.reset_stats()
+        self.cpu.pipeline.reset()
         self.checkpoint_restores += 1
 
-    def checkpoint(self, image: Image, fast_forward: int,
-                   warmup_engine: str = "translated") -> ArchState:
+    def checkpoint(self, image: Image, fast_forward: int) -> ArchState:
         """Boot, dispatch *image*, execute *fast_forward* steps of the
-        program, and capture the state at the handoff point.
+        program on the block-translating engine (fewer if it finishes
+        first), and capture the state at the handoff point.
 
         The returned :class:`ArchState` can be restored into any
         simulator whose configuration shares this one's *architectural*
@@ -351,26 +318,17 @@ class Simulator:
         like cache geometry are free to differ, which is what lets one
         warmed checkpoint serve a whole sweep.
         """
-        poll = self.rom_info.poll_address
-        engine = self._boot_and_dispatch(image, warmup_engine)
-        self._warmup(engine, fast_forward, poll)
-        if isinstance(engine, FunctionalUnit):
-            self._sync_from_functional(engine)
+        engine = self._boot_and_dispatch(image, self.translated_unit())
+        engine.fast_forward(fast_forward, stop_pc=self.rom_info.poll_address)
+        self._sync_from_functional(engine)
         return self.capture_state()
 
-    def _boot_and_dispatch(self, image: Image, warmup_engine: str):
-        """Boot to the polling loop, load *image*, run to its entry.
-        Returns the engine (functional or cycle-accurate) that did it,
+    def _boot_and_dispatch(self, image: Image, engine):
+        """Boot *engine* (``self.cpu`` or a unit from
+        :meth:`functional_unit` / :meth:`translated_unit`) to the polling
+        loop, load *image*, run to its entry.  Returns *engine*,
         positioned at the program's first instruction."""
-        if warmup_engine not in ("fast", "translated", "accurate"):
-            raise ValueError(f"unknown warmup engine '{warmup_engine}'")
         poll = self.rom_info.poll_address
-        if warmup_engine == "translated":
-            engine = self.translated_unit()
-        elif warmup_engine == "fast":
-            engine = self.functional_unit()
-        else:
-            engine = self.cpu
         engine.run(max_instructions=100_000, until_pc=poll)
         self._load_image(image)
         engine.run(max_instructions=10_000, until_pc=image.entry)
@@ -388,23 +346,19 @@ class Simulator:
     def run(self, image: Image | None = None,
             max_instructions: int = 50_000_000, *,
             fast_forward: int = 0,
-            warmup_engine: str = "translated",
             from_checkpoint: ArchState | None = None) -> SimReport:
         """Boot, dispatch *image*, run it to completion, report.
 
-        Two-speed execution: with ``fast_forward=N``, the boot sequence
-        and the program's first N steps execute on the block-translating
-        fast path (``warmup_engine="fast"`` uses single-instruction
-        functional dispatch instead; ``"accurate"`` keeps them
-        cycle-accurate — the differential baseline), then the machine is
-        normalized
-        (caches flushed, statistics zeroed) and handed to the
-        cycle-accurate engine, whose *measured window* covers only the
-        rest of the program.  ``from_checkpoint`` skips warmup entirely
-        by restoring an :class:`~repro.cpu.archstate.ArchState` captured
-        by :meth:`checkpoint` — no ``image`` needed, it lives in the
-        checkpoint's memory.  All three warm starts produce
-        byte-identical reports for the same window.
+        Two-speed execution: with ``fast_forward=N``, the machine warms
+        up with :meth:`checkpoint` (boot plus the program's first N steps
+        on the block-translating fast path), and the state is restored
+        as ``from_checkpoint`` would: caches flushed, statistics zeroed,
+        the cycle-accurate engine's *measured window* covering only the
+        rest of the program.  ``from_checkpoint`` skips the warmup and
+        restores an :class:`~repro.cpu.archstate.ArchState` captured by
+        :meth:`checkpoint` — no ``image`` needed, it lives in the
+        checkpoint's memory.  Both warm starts give byte-identical
+        reports for the same window.
 
         The default (``fast_forward=0``, no checkpoint) measures the
         whole program cycle-accurately, exactly as before.
@@ -413,32 +367,24 @@ class Simulator:
             raise ValueError("fast_forward must be >= 0")
         cpu = self.cpu
         poll = self.rom_info.poll_address
+        if from_checkpoint is None and image is None:
+            raise ValueError(
+                "run() needs an image unless from_checkpoint is given")
+        if from_checkpoint is None and fast_forward:
+            from_checkpoint = self.checkpoint(image, fast_forward)
 
-        warmup_instructions = 0
+        fastpath = {}
         if from_checkpoint is not None:
             self.restore_state(from_checkpoint)
-            windowed = True
-            provenance = "checkpoint"
-        else:
-            if image is None:
-                raise ValueError(
-                    "run() needs an image unless from_checkpoint is given")
-            engine = self._boot_and_dispatch(image, warmup_engine
-                                             if fast_forward else "accurate")
-            if fast_forward:
-                warmup_instructions = self._warmup(engine, fast_forward, poll)
-            if isinstance(engine, FunctionalUnit):
-                self._sync_from_functional(engine)
-            windowed = fast_forward > 0
-            provenance = warmup_engine if windowed else "none"
-        if windowed:
             self.fastpath_handoffs += 1
-            self._normalize_window_start()
-            self.events.record(cpu.cycles, "handoff", engine=provenance,
-                               warmup_instructions=warmup_instructions)
+            fastpath = {"fast_forward": fast_forward,
+                        "warmup_instructions": from_checkpoint.retired}
+            self.events.record(cpu.cycles, "handoff", **fastpath)
+        else:
+            self._boot_and_dispatch(image, cpu)
 
         # Instrument the measured window only.
-        tally = _tally_retires(cpu)
+        tally = cpu.retire_tally = Counter()
         if self.recorder is not None:
             self.recorder.clear()
 
@@ -446,7 +392,7 @@ class Simulator:
         before = simulator_snapshot(self) if self.obs_enabled else None
         self.events.record(cpu.cycles, "dispatch", entry=cpu.pc)
         cpu.run(max_instructions=max_instructions, until_pc=poll)
-        cpu.on_retire = None
+        cpu.retire_tally = None
         self.events.record(cpu.cycles, "done",
                            cycles=cpu.cycles - start_cycles)
         obs = (point_snapshot(simulator_snapshot(self), before)
@@ -461,10 +407,6 @@ class Simulator:
         else:
             trace = MemoryTrace(np.zeros(0, np.uint64), np.zeros(0, np.uint8),
                                 np.zeros(0, bool), np.zeros(0, bool))
-        fastpath = ({"fast_forward": fast_forward,
-                     "warmup_engine": provenance,
-                     "warmup_instructions": warmup_instructions}
-                    if windowed else {})
         return SimReport(
             cycles=cpu.cycles - start_cycles,
             instructions=cpu.instret - start_instret,
@@ -510,7 +452,8 @@ class Simulator:
         and the cache sections are all-zero — this mode answers "what
         does the program compute", not "how fast".
         """
-        return self._run_fast(image, max_instructions, "fast")
+        return self._run_fast(image, max_instructions,
+                              self.functional_unit())
 
     def run_translated(self, image: Image,
                        max_instructions: int = 50_000_000) -> SimReport:
@@ -519,32 +462,28 @@ class Simulator:
         holds both against the accurate engine), several times faster,
         with the block-cache counters in the report's ``fastpath``
         section."""
-        return self._run_fast(image, max_instructions, "translated")
+        return self._run_fast(image, max_instructions,
+                              self.translated_unit())
 
     def _run_fast(self, image: Image, max_instructions: int,
-                  engine_name: str) -> SimReport:
+                  fast: FunctionalUnit) -> SimReport:
         poll = self.rom_info.poll_address
-        fast = self._boot_and_dispatch(image, engine_name)
-
-        # Retire tallies, folded into the mix once per distinct key:
-        # interpreted steps count per instruction word, translated
-        # blocks per (block, retired-prefix length).  One dict keeps
-        # first-seen order, so the mix lists classes in execution order.
-        tally = _tally_retires(fast)
-        if engine_name == "translated":
-            fast.retire_tally = tally
+        self._boot_and_dispatch(image, fast)
+        tally = fast.retire_tally = Counter()
         start_steps, start_instret = fast.cycles, fast.instret
         self.events.record(fast.cycles, "dispatch", entry=image.entry)
         fast.run(max_instructions=max_instructions, until_pc=poll)
-        fast.on_retire = None
+        fast.retire_tally = None
         window = fast.cycles - start_steps
         retired = fast.instret - start_instret
         self.events.record(fast.cycles, "done", cycles=window)
         self._sync_from_functional(fast)
         self.sram.host_write_word(self.memmap.mailbox_start, 0)
 
-        fastpath = {"engine": engine_name, "steps": window}
-        if engine_name == "translated":
+        translated = isinstance(fast, TranslatedUnit)
+        fastpath = {"engine": "translated" if translated else "fast",
+                    "steps": window}
+        if translated:
             fastpath["blocks_translated"] = fast.blocks_translated
             fastpath["blocks_executed"] = fast.blocks_executed
             fastpath["blocks_invalidated"] = fast.blocks_invalidated

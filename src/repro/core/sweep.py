@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,8 +64,12 @@ SCHEMA_VERSION = 5
 #: schema number on top of this.  v2: built by the translated engine.
 #: v3: one store for ``-ffN`` checkpoints and sampling
 #: :class:`~repro.core.sampling.PreparedPlan` payloads, keyed by a mode
-#: token.
-CHECKPOINT_SCHEMA = 3
+#: token.  v4: ArchState payload schema 2 (no clock or RNG cursors).
+CHECKPOINT_SCHEMA = 4
+
+#: What decoding a stale or damaged artifact payload raises; such a
+#: payload counts as a miss and is rebuilt.
+_UNREADABLE = (AttributeError, KeyError, TypeError, ValueError, zlib.error)
 
 #: Default instruction budget per simulated point.
 DEFAULT_MAX_INSTRUCTIONS = 20_000_000
@@ -774,11 +779,16 @@ class SweepRunner:
             kind, mode = PreparedPlan, sampling.fingerprint_token()
         else:
             kind, mode = ArchState, f"ff{fast_forward}"
-        if self.cache is not None:
-            payload = self.cache.get_artifact(digest, arch_key, mode)
-            if payload is not None:
+        payload = (self.cache.get_artifact(digest, arch_key, mode)
+                   if self.cache is not None else None)
+        if payload is not None:
+            try:
+                artifact = kind.from_payload(payload)
+            except _UNREADABLE:
+                pass  # rebuilt and overwritten below
+            else:
                 stats.checkpoint_hits += 1
-                return kind.from_payload(payload)
+                return artifact
         if sampling is not None:
             artifact = SampledRunner(config).prepare(image, sampling,
                                                      max_instructions)

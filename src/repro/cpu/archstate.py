@@ -3,28 +3,25 @@
 An :class:`ArchState` is everything the *architecture* defines about a
 running Liquid processor system: register file (all windows), control
 registers (PSR/WIM/TBR/Y), ancillary state registers, PC/nPC/annul, the
-full memory image and the peripherals' observable state — plus the
-deterministic RNG cursors of any seeded micro-architectural machinery,
-so a restored run replays the original bit-for-bit.
+full memory image and the peripherals' observable state.  Nothing
+micro-architectural is kept: a restore leaves caches, prefetchers and
+pipeline in one canonical state (see ``Simulator.restore_state``), so a
+restored run replays the original bit-for-bit.
 
 Capture from one simulator, restore into another (with the same
 architectural shape), and execution continues exactly where it left
 off — that is how ``Simulator.run(fast_forward=...)`` warms a program
-functionally and hands off to the cycle-accurate engine, and how
-:class:`~repro.core.sweep.SweepRunner` reuses one warmed checkpoint
-across every configuration point of a sweep.
-
-Equality compares only *architectural* fields — the clock and the RNG
-cursors are timing machinery, excluded via ``compare=False`` — so the
-differential test suite can assert ``capture(fast) == capture(accurate)``
-directly.
+on the translated engine and hands off to the cycle-accurate engine,
+and how :class:`~repro.core.sweep.SweepRunner` reuses one warmed
+checkpoint across every configuration point of a sweep.  Every field is
+architectural, so the differential test suite can assert
+``capture(fast) == capture(accurate)`` directly.
 
 The host a state is captured on talks a small protocol rather than a
 concrete class: it must expose ``cpu`` (an engine with the IntegerUnit's
-architectural attributes), ``checkpoint_memory()`` (name → bytearray),
-``checkpoint_peripherals()`` (name → device with ``state()`` /
-``load_state()``), ``checkpoint_rngs()`` (name → object with
-``rng_state()`` / ``load_rng_state()``) and a ``clock``.
+architectural attributes), ``checkpoint_memory()`` (name → bytearray)
+and ``checkpoint_peripherals()`` (name → device with ``state()`` /
+``load_state()``).
 """
 
 from __future__ import annotations
@@ -33,15 +30,16 @@ import base64
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils import u32
 
 __all__ = ["ArchState", "PAYLOAD_SCHEMA"]
 
 #: Bumped whenever the serialized payload layout changes; stale payloads
-#: are rejected by :meth:`ArchState.from_payload`.
-PAYLOAD_SCHEMA = 1
+#: are rejected by :meth:`ArchState.from_payload`.  v2: the clock and
+#: RNG-cursor fields are gone.
+PAYLOAD_SCHEMA = 2
 
 
 @dataclass(eq=True)
@@ -69,10 +67,6 @@ class ArchState:
     memory: dict
     #: Device name -> that device's ``state()`` dict.
     peripherals: dict
-    #: Micro-architectural, excluded from equality: the shared clock and
-    #: the deterministic RNG cursors (cache replacement LFSRs).
-    clock_cycles: int = field(default=0, compare=False)
-    rng: dict = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------------
     # Capture / restore
@@ -80,20 +74,15 @@ class ArchState:
 
     @classmethod
     def capture(cls, sim, engine=None) -> "ArchState":
-        """Snapshot *sim*'s architectural state (plus RNG cursors).
+        """Snapshot *sim*'s architectural state.
 
         *engine* names an alternative executor to read the private
         per-engine fields (PC/nPC/annul, halt state, retirement and trap
         counters) from — e.g. a functional or translated unit mid
         fast-forward, whose registers/control/ASRs are shared with
-        ``sim.cpu`` by reference but whose position is its own.  With an
-        explicit engine the retired count is the engine's alone (it
-        executed everything); without one it is ``cpu.instret`` plus the
-        host's already-folded ``fastpath_retired`` share, as before.
+        ``sim.cpu`` by reference but whose position is its own.
         """
         cpu = engine if engine is not None else sim.cpu
-        extra = 0 if engine is not None else getattr(
-            sim, "fastpath_retired", 0)
         regs = cpu.regs.state()
         return cls(
             nwindows=cpu.regs.nwindows,
@@ -110,16 +99,13 @@ class ArchState:
             globals_=tuple(regs["globals"]),
             window_regs=tuple(regs["window_regs"]),
             asr=dict(cpu.asr),
-            retired=cpu.instret + extra,
+            retired=cpu.instret,
             traps_taken=cpu.trap_count,
             memory={name: bytes(buffer)
                     for name, buffer in sim.checkpoint_memory().items()},
             peripherals={name: device.state()
                          for name, device
                          in sim.checkpoint_peripherals().items()},
-            clock_cycles=sim.clock.cycles,
-            rng={name: source.rng_state()
-                 for name, source in sim.checkpoint_rngs().items()},
         )
 
     def restore(self, sim) -> None:
@@ -137,13 +123,8 @@ class ArchState:
         cpu.error_tt = self.error_tt
         cpu.asr.clear()
         cpu.asr.update(self.asr)
-        # The capture read instret + the host's fastpath_retired as one
-        # combined count; put it all on the engine and zero the host's
-        # share so a re-capture reports the same total.
         cpu.instret = self.retired
         cpu.trap_count = self.traps_taken
-        if hasattr(sim, "fastpath_retired"):
-            sim.fastpath_retired = 0
         buffers = sim.checkpoint_memory()
         for name, blob in self.memory.items():
             buffer = buffers[name]
@@ -155,11 +136,6 @@ class ArchState:
         devices = sim.checkpoint_peripherals()
         for name, state in self.peripherals.items():
             devices[name].load_state(state)
-        sim.clock.cycles = self.clock_cycles
-        sources = sim.checkpoint_rngs()
-        for name, state in self.rng.items():
-            if name in sources:
-                sources[name].load_rng_state(state)
 
     # ------------------------------------------------------------------
     # Serialization (ResultCache persistence, worker processes)
@@ -184,8 +160,6 @@ class ArchState:
                 for name, blob in sorted(self.memory.items())
             },
             "peripherals": self.peripherals,
-            "clock_cycles": self.clock_cycles,
-            "rng": _rng_to_json(self.rng),
         }
 
     @classmethod
@@ -209,20 +183,13 @@ class ArchState:
             memory={name: zlib.decompress(base64.b64decode(blob))
                     for name, blob in payload["memory"].items()},
             peripherals=payload["peripherals"],
-            clock_cycles=payload["clock_cycles"],
-            rng=_rng_from_json(payload["rng"]),
         )
 
     def digest(self) -> str:
-        """Stable identity of the *architectural* content (the fields
-        equality compares — clock and RNG cursors excluded)."""
-        h = hashlib.sha256()
-        payload = self.to_payload()
-        payload.pop("clock_cycles")
-        payload.pop("rng")
-        h.update(json.dumps(payload, sort_keys=True,
-                            separators=(",", ":")).encode("ascii"))
-        return h.hexdigest()[:16]
+        """Stable identity of the architectural content."""
+        payload = json.dumps(self.to_payload(), sort_keys=True,
+                             separators=(",", ":"))
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
     def summary(self) -> dict:
         """Small human-readable view for logs and tests."""
@@ -234,13 +201,3 @@ class ArchState:
             "traps_taken": self.traps_taken,
             "digest": self.digest(),
         }
-
-
-def _rng_to_json(rng: dict) -> dict:
-    """numpy bit-generator states are nested dicts of ints — already
-    JSON-able, but keys must be strings all the way down."""
-    return json.loads(json.dumps(rng))
-
-
-def _rng_from_json(rng: dict) -> dict:
-    return rng

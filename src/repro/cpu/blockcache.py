@@ -581,9 +581,9 @@ class TranslatedUnit(FunctionalUnit):
     translated blocks and fall back to single interpreted steps for
     anything a block cannot carry: annulled entry states, MMIO fetches,
     RETT/CPOP1, a pending ``until_pc`` inside the block, or interrupt
-    delivery.  ``on_retire`` fires only for those interpreted steps;
-    whole blocks report to ``retire_tally`` instead (see
-    :meth:`fast_forward`).
+    delivery.  Interpreted steps count in ``retire_tally`` by
+    instruction word, as on the other engines; whole blocks count by
+    ``(block, retired)`` (see :meth:`fast_forward`).
     """
 
     def __init__(self, *args, **kwargs):
@@ -591,10 +591,6 @@ class TranslatedUnit(FunctionalUnit):
         self.blocks_translated = 0
         self.blocks_executed = 0
         self.blocks_invalidated = 0
-        #: Optional block-retirement tally, a :class:`collections.Counter`:
-        #: each block execution adds one to ``(block, retired)``, where
-        #: the retired instructions are ``block.insts[:retired]``.
-        self.retire_tally = None
         self._blocks: dict[int, TranslatedBlock] = {}
         self._code_pages: dict[int, set[int]] = {}
         self._code_dirty = False
@@ -696,11 +692,12 @@ class TranslatedUnit(FunctionalUnit):
 
     def fast_forward(self, budget: int, stop_pc: int | None = None) -> int:
         """Advance up to *budget* steps, stopping early when the PC
-        reaches *stop_pc*.  Blockwise where possible; interpreted steps
-        call ``on_retire`` as the functional engine does, and each block
-        execution counts once in ``retire_tally``, if set (retired
-        instructions are always a prefix of the block: arms, traps and
-        bails only cut it short)."""
+        reaches *stop_pc*.  Blockwise where possible.  With a
+        ``retire_tally`` installed, interpreted steps count by
+        instruction word and each block execution adds one to
+        ``(block, retired)``: its retired instructions are
+        ``block.insts[:retired]``, always a prefix (arms, traps and bails
+        only cut a block short)."""
         executed = 0
         blocks = self._blocks
         step = self.step

@@ -27,6 +27,7 @@ output; :mod:`repro.cpu.archstate` moves state between them.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from repro.cpu import isa, traps
@@ -227,7 +228,9 @@ class FunctionalUnit:
         self.pipeline_flushes = 0
 
         self.on_trap: Callable[[int, int], None] | None = None
-        self.on_retire: Callable[[int, DecodedInstruction], None] | None = None
+        #: Retire tally, as on :class:`IntegerUnit` (instruction word ->
+        #: retirements); the block translator also counts whole blocks.
+        self.retire_tally: Counter | None = None
         self.interrupt_source: Callable[[], int] | None = None
 
         self._transfer_target: int | None = None
@@ -360,8 +363,8 @@ class FunctionalUnit:
 
         self.cycles += 1
         self.instret += 1
-        if self.on_retire is not None:
-            self.on_retire(pc, inst)
+        if self.retire_tally is not None:
+            self.retire_tally[inst.word] += 1
         return 1
 
     def fast_forward(self, budget: int, stop_pc: int | None = None) -> int:

@@ -14,6 +14,7 @@ the paper's evaluation (Figure 8).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from repro.cpu import isa, traps
@@ -89,8 +90,9 @@ class IntegerUnit:
         # Hooks for the platform (leon_ctrl bus snooping, tracing).
         self.on_fetch: Callable[[int], None] | None = None
         self.on_trap: Callable[[int, int], None] | None = None
-        # Instruction-trace hook: (pc, DecodedInstruction) after retire.
-        self.on_retire: Callable[[int, DecodedInstruction], None] | None = None
+        # Retire tally: None, or a Counter each retired instruction adds
+        # one to, keyed by instruction word (an instruction-mix window).
+        self.retire_tally: Counter | None = None
         # Interrupt source: callable returning pending level 0..15.
         self.interrupt_source: Callable[[], int] | None = None
 
@@ -252,8 +254,8 @@ class IntegerUnit:
         self.mem_stall_cycles += self._mem_extra
         self.cycles += cycles
         self.instret += 1
-        if self.on_retire is not None:
-            self.on_retire(pc, inst)
+        if self.retire_tally is not None:
+            self.retire_tally[inst.word] += 1
         return cycles
 
     def run(self, max_instructions: int = 10_000_000,

@@ -3,22 +3,26 @@
 fast_forward=...)``.
 
 The contract under test: the *measured window* of a fast-forwarded run
-is byte-identical no matter how the machine reached the window — cold
-accurate warmup, functional warmup, or a restored checkpoint — and the
-sweep engine builds one warmed checkpoint per (image, arch_key) family
-and reuses it everywhere, including across processes and from disk.
+is byte-identical no matter how the machine reached the window — a
+state warmed on the accurate, functional or translated engine, restored
+into a fresh or an already-used simulator — and the sweep engine builds
+one warmed checkpoint per (image, arch_key) family and reuses it
+everywhere, including across processes and from disk.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.config import ArchitectureConfig
 from repro.core.sampling import SamplingPlan
 from repro.core.sim import Simulator
-from repro.core.sweep import ResultCache, SweepRunner
+from repro.core.sweep import CHECKPOINT_SCHEMA, ResultCache, SweepRunner
+from repro.cpu.archstate import ArchState
 from repro.obs.collect import simulator_snapshot
 from repro.toolchain.driver import compile_c_program
 
@@ -53,36 +57,53 @@ def _canonical(report) -> str:
     }, sort_keys=True, default=str)
 
 
+def _stepped_state(image, engine: str, steps: int = WARMUP):
+    """Boot *image* on a reference engine (``"accurate"`` or
+    ``"functional"``), step *steps* program steps, and capture: the
+    warm state ``checkpoint()`` builds on the translated engine."""
+    sim = Simulator(capture_memory_trace=False)
+    poll = sim.rom_info.poll_address
+    if engine == "accurate":
+        cpu = sim._boot_and_dispatch(image, sim.cpu)
+        executed = 0
+        while executed < steps and cpu.pc != poll:
+            cpu.step()
+            executed += 1
+    else:
+        unit = sim._boot_and_dispatch(image, sim.functional_unit())
+        unit.fast_forward(steps, stop_pc=poll)
+        sim._sync_from_functional(unit)
+    return sim.capture_state()
+
+
 class TestSimulatorFastForward:
     def test_warmup_engine_does_not_change_the_window(self, image):
-        fast = Simulator(capture_memory_trace=False).run(
-            image, fast_forward=WARMUP, warmup_engine="fast")
-        accurate = Simulator(capture_memory_trace=False).run(
-            image, fast_forward=WARMUP, warmup_engine="accurate")
-        translated = Simulator(capture_memory_trace=False).run(
-            image, fast_forward=WARMUP, warmup_engine="translated")
-        assert _canonical(fast) == _canonical(accurate)
-        assert _canonical(translated) == _canonical(accurate)
+        """States stepped on the accurate and functional reference
+        engines resume to the window ``run(fast_forward=N)`` measures."""
+        direct = Simulator(capture_memory_trace=False).run(
+            image, fast_forward=WARMUP)
+        for engine in ("accurate", "functional"):
+            resumed = Simulator(capture_memory_trace=False).run(
+                from_checkpoint=_stepped_state(image, engine))
+            assert _canonical(resumed) == _canonical(direct), engine
         # the window must be substantial, or this test proves nothing
-        assert fast.instructions > 10_000
-        assert fast.fastpath["warmup_engine"] == "fast"
-        assert accurate.fastpath["warmup_engine"] == "accurate"
-        assert translated.fastpath["warmup_engine"] == "translated"
+        assert direct.instructions > 10_000
+        assert direct.fastpath["fast_forward"] == WARMUP
 
     def test_translated_checkpoint_matches_functional(self, image):
-        """checkpoint() now warms on the translated engine by default;
-        the captured state must be byte-identical to a functional warmup
+        """checkpoint() warms on the translated engine; the captured
+        state must be byte-identical to a functional or accurate warmup
         of the same depth, and the block cache must actually have run."""
-        warm_t = Simulator(capture_memory_trace=False)
-        state_t = warm_t.checkpoint(image, WARMUP)
-        warm_f = Simulator(capture_memory_trace=False)
-        state_f = warm_f.checkpoint(image, WARMUP, warmup_engine="fast")
-        assert state_t == state_f
-        assert warm_t.fastpath_blocks_translated > 0
-        assert warm_t.fastpath_blocks_executed > 0
-        assert warm_f.fastpath_blocks_translated == 0
+        warm = Simulator(capture_memory_trace=False)
+        state = warm.checkpoint(image, WARMUP)
+        assert state == _stepped_state(image, "functional")
+        assert state == _stepped_state(image, "accurate")
+        assert warm.fastpath_blocks_translated > 0
+        assert warm.fastpath_blocks_executed > 0
 
     def test_checkpoint_restore_reproduces_the_window(self, image):
+        """``run(fast_forward=N)`` and resuming ``checkpoint(N)``'s
+        state are one path: the same window, the same provenance."""
         direct = Simulator(capture_memory_trace=False).run(
             image, fast_forward=WARMUP)
         warm = Simulator(capture_memory_trace=False)
@@ -90,7 +111,39 @@ class TestSimulatorFastForward:
         resumed = Simulator(capture_memory_trace=False).run(
             from_checkpoint=state)
         assert _canonical(resumed) == _canonical(direct)
-        assert resumed.fastpath["warmup_engine"] == "checkpoint"
+        assert (resumed.fastpath["warmup_instructions"]
+                == direct.fastpath["warmup_instructions"] == state.retired)
+
+    def test_restore_into_a_used_simulator(self, image):
+        """A restore leaves nothing of the simulator's past behind: warm
+        caches, a trained stride prefetcher and an advanced replacement
+        RNG on a 2-way random D-cache all give way to the canonical
+        window start, so the window matches a fresh simulator's."""
+        config = replace(
+            ArchitectureConfig(prefetch="stride"),
+            dcache=replace(ArchitectureConfig().dcache, size=1024, ways=2,
+                           replacement="random"))
+        state = Simulator(config, capture_memory_trace=False).checkpoint(
+            image, WARMUP)
+        fresh = Simulator(config, capture_memory_trace=False).run(
+            from_checkpoint=state)
+        assert fresh.instructions > 10_000
+
+        used = Simulator(config, capture_memory_trace=False)
+        cold = used.run(image)
+        dcache = used.dcache
+        assert dcache.cache.valid_lines > 0
+        assert dcache.prefetcher.stats.issued > 0
+        assert cold.dcache["evictions"] > 0  # the RNG picked victims
+        dcache.cache._rng.integers(2, size=1000)  # and moved on further
+        again = used.run(from_checkpoint=state)
+        assert _canonical(again) == _canonical(fresh)
+
+        # the same state taken through its JSON payload, too
+        rebuilt = ArchState.from_payload(
+            json.loads(json.dumps(state.to_payload())))
+        assert _canonical(used.run(from_checkpoint=rebuilt)) == \
+            _canonical(fresh)
 
     def test_fast_forward_past_program_end(self, image):
         """A warmup budget larger than the whole program parks at the
@@ -99,6 +152,8 @@ class TestSimulatorFastForward:
             image, fast_forward=10_000_000)
         assert report.instructions == 0
         assert report.fastpath["warmup_instructions"] > 0
+        assert report.result_word == Simulator(
+            capture_memory_trace=False).run(image).result_word
 
     def test_fast_forward_zero_is_the_seed_behavior(self, image):
         cold = Simulator(capture_memory_trace=False).run(image)
@@ -112,11 +167,6 @@ class TestSimulatorFastForward:
             Simulator(capture_memory_trace=False).run(
                 image, fast_forward=-1)
 
-    def test_bad_warmup_engine_rejected(self, image):
-        with pytest.raises(ValueError):
-            Simulator(capture_memory_trace=False).run(
-                image, fast_forward=10, warmup_engine="quantum")
-
     def test_obs_exposes_fastpath_counters(self, image):
         sim = Simulator(capture_memory_trace=False)
         report = sim.run(image, fast_forward=WARMUP)
@@ -124,14 +174,18 @@ class TestSimulatorFastForward:
         assert "fastpath.instructions" in report.obs["counters"]
         assert "fastpath.handoffs" in report.obs["counters"]
         # ...and the simulator totals show the warmup actually ran fast
+        # and handed off through one checkpoint capture and restore
         totals = simulator_snapshot(sim)["counters"]
         assert totals["fastpath.instructions"] > 0
         assert totals["fastpath.handoffs"] == 1
-        assert totals["fastpath.checkpoint_captures"] == 0
+        assert totals["fastpath.checkpoint_captures"] == 1
+        assert totals["fastpath.checkpoint_restores"] == 1
+        # the window itself does none of that
+        assert report.obs["counters"]["fastpath.checkpoint_captures"] == 0
 
     def test_obs_exposes_block_cache_counters(self, image):
         sim = Simulator(capture_memory_trace=False)
-        sim.run(image, fast_forward=WARMUP, warmup_engine="translated")
+        sim.run(image, fast_forward=WARMUP)
         totals = simulator_snapshot(sim)["counters"]
         assert totals["fastpath.blocks_translated"] > 0
         assert totals["fastpath.blocks_executed"] > 0
@@ -186,6 +240,42 @@ class TestSweepFastForward:
         assert (second.points[1].canonical_json()
                 == fresh.points[0].canonical_json())
 
+    @pytest.mark.parametrize("damage", ["parent-format", "inner-schema",
+                                        "damaged-memory"])
+    def test_unreadable_artifact_is_rebuilt(self, image, tmp_path, damage):
+        """A checkpoint file the code cannot decode — the previous
+        layout (outer schema 3 around an ArchState payload with clock
+        and RNG fields), a stale inner payload schema, or a damaged
+        memory image — is a miss: the sweep rebuilds and overwrites it,
+        and its records match a fresh cache's byte for byte."""
+        fresh = SweepRunner(cache=ResultCache(tmp_path / "fresh")).sweep(
+            self.CONFIGS, image, fast_forward=WARMUP)
+        [path] = (tmp_path / "fresh").glob("*/checkpoint-*.json")
+        record = json.loads(path.read_text())
+        payload = record["artifact"]
+        if damage == "parent-format":
+            rng = np.random.default_rng(0).bit_generator.state
+            record["schema"] = 3
+            payload.update(schema=1, clock_cycles=0,
+                           rng={"icache": rng, "dcache": rng})
+        elif damage == "inner-schema":
+            payload["schema"] = 999
+        else:
+            payload["memory"]["sram"] = payload["memory"]["sram"][:64]
+        stale = tmp_path / "stale" / path.relative_to(tmp_path / "fresh")
+        stale.parent.mkdir(parents=True)
+        stale.write_text(json.dumps(record))
+
+        outcome = SweepRunner(cache=ResultCache(tmp_path / "stale")).sweep(
+            self.CONFIGS, image, fast_forward=WARMUP)
+        assert outcome.stats.checkpoints_built == 1
+        assert outcome.stats.checkpoint_hits == 0
+        assert ([p.canonical_json() for p in outcome.points]
+                == [p.canonical_json() for p in fresh.points])
+        rebuilt = json.loads(stale.read_text())
+        assert rebuilt["schema"] == CHECKPOINT_SCHEMA
+        assert rebuilt["artifact"] == json.loads(path.read_text())["artifact"]
+
     def test_serial_and_parallel_agree(self, image):
         serial = SweepRunner(workers=0).sweep(
             self.CONFIGS, image, fast_forward=WARMUP)
@@ -222,24 +312,14 @@ class TestSweepFastForward:
 
 
 class TestWarmupEngineDefault:
-    """``run`` historically defaulted to ``"fast"`` while ``checkpoint``
-    defaulted to ``"translated"`` — the same nominal warmup took
-    different engines depending on the entry point.  Both now default to
-    ``"translated"``, and the regression is pinned at both the signature
-    and the behaviour level."""
-
-    def test_defaults_are_unified(self):
-        import inspect
-
-        run_default = inspect.signature(
-            Simulator.run).parameters["warmup_engine"].default
-        checkpoint_default = inspect.signature(
-            Simulator.checkpoint).parameters["warmup_engine"].default
-        assert run_default == checkpoint_default == "translated"
+    """``run`` once defaulted to a different warmup engine than
+    ``checkpoint``, so the same nominal warmup took different paths
+    depending on the entry point.  The engine option is gone: both warm
+    on the translated engine, and the behaviour is pinned here."""
 
     def test_default_run_lands_on_the_checkpoint_state(self, image):
-        """run(fast_forward=N) with the default engine must produce the
-        exact window that resuming checkpoint(N)'s state does."""
+        """run(fast_forward=N) must produce the exact window that
+        resuming checkpoint(N)'s state does."""
         defaulted = Simulator(capture_memory_trace=False).run(
             image, fast_forward=WARMUP)
         warm = Simulator(capture_memory_trace=False)
@@ -247,7 +327,9 @@ class TestWarmupEngineDefault:
         resumed = Simulator(capture_memory_trace=False).run(
             from_checkpoint=state)
         assert _canonical(defaulted) == _canonical(resumed)
-        assert defaulted.fastpath["warmup_engine"] == "translated"
+        assert defaulted.fastpath["fast_forward"] == WARMUP
+        assert defaulted.fastpath["warmup_instructions"] == state.retired
+        assert warm.fastpath_blocks_translated > 0
 
 
 class TestSweepSampling:
@@ -327,7 +409,7 @@ class TestCheckpointResumedWindows:
         specs = prepared.specs[1:]  # the head spec comes first
 
         sim = Simulator(capture_memory_trace=False, obs=False)
-        cpu = sim._boot_and_dispatch(image, "accurate")
+        cpu = sim._boot_and_dispatch(image, sim.cpu)
         poll = sim.rom_info.poll_address
         position = 0
         for spec, resumed in zip(specs, run.windows):
@@ -337,7 +419,9 @@ class TestCheckpointResumedWindows:
                 cpu.step()
                 steps += 1
             position = spec.ramp_start
-            sim._normalize_window_start()
+            # restoring the machine's own state changes nothing
+            # architectural; it sets up the canonical window start
+            sim.restore_state(sim.capture_state())
             straight = measure_window(sim, spec, poll)
             position = spec.end
             assert straight == resumed

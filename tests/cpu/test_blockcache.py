@@ -449,7 +449,7 @@ def _dispatched(image):
     from repro.core.sim import Simulator
 
     sim = Simulator(capture_memory_trace=False, obs=False)
-    unit = sim._boot_and_dispatch(image, "translated")
+    unit = sim._boot_and_dispatch(image, sim.translated_unit())
     return sim, unit, sim.rom_info.poll_address
 
 

@@ -38,7 +38,9 @@ def _run_to_error(asm_text: str, engine_kind: str):
     """Boot, dispatch, run until the machine parks at error_state."""
     image = build(asm_text)
     sim = Simulator(capture_memory_trace=False, obs=False)
-    engine = sim._boot_and_dispatch(image, engine_kind)
+    engine = {"accurate": lambda: sim.cpu, "fast": sim.functional_unit,
+              "translated": sim.translated_unit}[engine_kind]()
+    sim._boot_and_dispatch(image, engine)
     engine.run(max_instructions=500_000,
                until_pc=sim.rom_info.error_address)
     if engine is not sim.cpu:
